@@ -27,6 +27,12 @@
 //! `ckpt_budget`) in the JSON. Its gate reference is its own
 //! `storeall_gradient` series.
 //!
+//! A `seismic_step` case times one step of the seismic time loop at the
+//! wave size: `interpreter_serial` (the per-point primal, its gate
+//! reference), `primal_step` (the driver's in-place row `Stepper`) and
+//! `adjoint_step` (the tuned adjoint schedule), and reports
+//! `adjoint_primal_ratio`.
+//!
 //! A `seismic_batch` case times the batched multi-shot gradient
 //! (`gradient_batch_with`: one compile/tune, shots dispatched under the
 //! perf-model-chosen strategy) against N sequential `gradient` calls on
@@ -55,13 +61,15 @@
 
 use perforad_bench::{env_size, json_escape, time_best, Case};
 use perforad_exec::{
-    run_parallel, run_parallel_rows, run_serial, run_serial_rows, Grid, ThreadPool,
+    compile_nest, run_parallel, run_parallel_rows, run_serial, run_serial_rows, Binding, Grid,
+    ThreadPool, Workspace,
 };
 use perforad_jit::{prepare_schedule, JitOptions};
 use perforad_pde::seismic::{
-    gradient_batch_with, gradient_checkpointed, gradient_store_all, gradient_with_pool, ricker,
-    BatchOptions, SeismicConfig, ShotBatch,
+    adjoint_schedule_tuned, gradient_batch_with, gradient_checkpointed, gradient_store_all,
+    gradient_with_pool, ricker, BatchOptions, SeismicConfig, ShotBatch, Stepper,
 };
+use perforad_pde::wave3d;
 use perforad_sched::{compile_schedule, run_schedule, run_tuned, SchedOptions};
 use perforad_tune::json::{self, Value};
 use perforad_tune::{autotune_adjoint, Measure, TuneOptions};
@@ -228,9 +236,75 @@ fn measure_seismic(n: usize, steps: usize, reps: usize) -> SeismicMeasured {
         // ~15 grids of fixed working set: 3 rolling λ, 2 cursor-state,
         // 4 stepper-workspace, 6 adjoint-workspace grids.
         peak_mem_bytes: report.peak_snapshot_bytes + 15 * grid_bytes,
-        dense_mem_bytes: (steps + 1) * grid_bytes * 2, // trajectory + λ vector
+        dense_mem_bytes: (steps + 1 + 3) * grid_bytes, // trajectory + 3-grid λ window
         recompute_ratio: report.recompute_ratio(),
         budget: report.budget,
+    }
+}
+
+/// One time step of the seismic driver at the wave case's size: the
+/// primal under the per-point interpreter (the gate reference — it
+/// shares no code with the driver's fast path), the driver's in-place
+/// row [`Stepper`], and the tuned adjoint schedule the reverse sweep
+/// runs. Their ratio is the paper's adjoint-vs-primal runtime comparison.
+struct StepMeasured {
+    n: usize,
+    points: u64,
+    interpreter_s: f64,
+    primal_s: f64,
+    adjoint_s: f64,
+}
+
+fn measure_seismic_step(n: usize, pool: &ThreadPool, reps: usize) -> StepMeasured {
+    let reps = reps.max(1);
+    let cfg = SeismicConfig {
+        n,
+        steps: reps,
+        d: 0.1,
+    };
+    let dims = [n; 3];
+    let c0 = Grid::from_fn(&dims, |ix| 0.8 + 0.4 * (ix[2] as f64 / n as f64));
+    let bind = Binding::new().size("n", n as i64).param("D", cfg.d);
+    let mut pws = Workspace::new()
+        .with("c", c0.clone())
+        .with("u", Grid::zeros(&dims))
+        .with(
+            "u_1",
+            Grid::from_fn(&dims, |ix| 1e-3 * (ix[0] as f64).sin()),
+        )
+        .with(
+            "u_2",
+            Grid::from_fn(&dims, |ix| 1e-3 * (ix[1] as f64).cos()),
+        );
+    let primal = compile_nest(&wave3d::nest(), &pws, &bind).expect("primal compiles");
+    let interpreter_s = time_best(reps, || {
+        run_serial(&primal, &mut pws).unwrap();
+    });
+
+    let mut stepper = Stepper::new(&cfg, &c0, &ricker(reps));
+    let mut t = 0;
+    let primal_s = time_best(reps, || {
+        stepper.advance(t);
+        t += 1;
+    });
+
+    let mut aws = Workspace::new().with("c", c0);
+    for name in ["u_1", "u_b", "u_1_b", "u_2_b", "c_b"] {
+        aws.insert(name, Grid::zeros(&dims));
+    }
+    let (schedule, tuned) = adjoint_schedule_tuned(&mut aws, &bind, pool, &TuneOptions::quick())
+        .expect("adjoint tunes");
+    *aws.grid_mut("u_1") = pws.grid("u_1").clone();
+    *aws.grid_mut("u_b") = pws.grid("u_2").clone();
+    let adjoint_s = time_best(reps, || {
+        run_tuned(&schedule, &tuned, &mut aws, pool).unwrap();
+    });
+    StepMeasured {
+        n,
+        points: primal.points(),
+        interpreter_s,
+        primal_s,
+        adjoint_s,
     }
 }
 
@@ -542,6 +616,30 @@ fn main() {
         seismic.dense_mem_bytes,
         seismic.recompute_ratio,
         seismic.budget
+    ));
+
+    // One seismic time step: interpreter primal, driver primal, adjoint.
+    let st = measure_seismic_step(n, &pool, reps);
+    println!("\n## seismic_step ({}³ grid, {} threads)", st.n, threads);
+    println!("{:<24} {:>12.6} s", "interpreter_serial", st.interpreter_s);
+    println!("{:<24} {:>12.6} s", "primal_step", st.primal_s);
+    println!("{:<24} {:>12.6} s", "adjoint_step", st.adjoint_s);
+    println!(
+        "adjoint/primal ratio: {:.2} (primal {:.2}x faster than the interpreter)",
+        st.adjoint_s / st.primal_s,
+        st.interpreter_s / st.primal_s
+    );
+    case_json.push(format!(
+        "{{\"name\":\"seismic_step\",\"points\":{},\"series\":[\
+         {{\"label\":\"interpreter_serial\",\"seconds\":{}}},\
+         {{\"label\":\"primal_step\",\"seconds\":{}}},\
+         {{\"label\":\"adjoint_step\",\"seconds\":{}}}],\
+         \"adjoint_primal_ratio\":{}}}",
+        st.points,
+        st.interpreter_s,
+        st.primal_s,
+        st.adjoint_s,
+        st.adjoint_s / st.primal_s
     ));
 
     // The batched multi-shot survey (bitwise-asserted against the

@@ -196,6 +196,7 @@ mod tests {
 
     #[test]
     fn matches_store_all_bitwise_across_budgets_and_backends() {
+        let _g = crate::disk_test_lock();
         let dir = std::env::temp_dir().join(format!("perforad_drv_test_{}", std::process::id()));
         for steps in [0usize, 1, 2, 3, 7, 16, 33, 100] {
             let (x_ref, l_ref) = store_all_reference(0.8, steps);

@@ -41,3 +41,12 @@ pub use driver::{checkpointed_adjoint_plan, CkptReport};
 pub use error::CkptError;
 pub use plan::{CheckpointPlan, CkptAction, PlanStats};
 pub use store::{DiskStore, FallbackStore, MemStore, Snapshot, SnapshotStore, CKPT_DIR_ENV};
+
+/// Fault-injection state is process-global, so every unit test in this
+/// crate that drives a [`DiskStore`] serialises here — an armed window
+/// must not leak into a neighbouring test's saves or loads.
+#[cfg(test)]
+pub(crate) fn disk_test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|p| p.into_inner())
+}

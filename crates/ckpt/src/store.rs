@@ -447,15 +447,7 @@ impl<S: Clone + Snapshot> SnapshotStore<S> for FallbackStore<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Fault-injection state is process-global, so every test that
-    /// drives a `DiskStore` serialises here — an armed window must not
-    /// leak into a neighbouring test's saves.
-    static STORE_TEST_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-    fn locked() -> std::sync::MutexGuard<'static, ()> {
-        STORE_TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner())
-    }
+    use crate::disk_test_lock as locked;
 
     fn grid() -> Grid {
         Grid::from_fn(&[3, 4], |ix| (ix[0] * 7 + ix[1]) as f64 * 0.1 - 1.5)

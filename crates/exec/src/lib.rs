@@ -93,9 +93,9 @@ pub use native::{fnv1a64, native_lookup, register_native, NativeGroup, NativeTil
 pub use pool::{default_pool, ThreadPool};
 pub use regir::RegProgram;
 pub use run::{
-    run, run_parallel, run_parallel_jit, run_parallel_rows, run_rayon, run_rayon_rows,
-    run_scatter_atomic, run_scatter_atomic_rows, run_serial, run_serial_jit, run_serial_rows,
-    ExecMode, ExecStats, Lowering, Strategy,
+    run, run_parallel, run_parallel_jit, run_parallel_rows, run_scatter_atomic,
+    run_scatter_atomic_rows, run_serial, run_serial_jit, run_serial_rows, ExecMode, ExecStats,
+    Lowering, Strategy,
 };
 pub use tile::{tile_nest, Tile, TileRunner, TileScratch};
 pub use workspace::{Binding, Workspace};

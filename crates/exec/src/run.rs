@@ -1,5 +1,5 @@
-//! Plan execution: serial, pool-parallel (gather), pool-parallel with
-//! atomics (scatter), and Rayon — each available with two lowerings.
+//! Plan execution: serial, pool-parallel (gather), and pool-parallel with
+//! atomics (scatter) — each available with three lowerings.
 //!
 //! Parallelisation follows the paper's OpenMP usage: the outermost loop
 //! dimension is chunked across threads. Gather nests need no further care —
@@ -63,8 +63,6 @@ pub enum Strategy<'a> {
     Parallel(&'a ThreadPool),
     /// Scatter-parallel: every `+=` is an atomic CAS add.
     ParallelAtomic(&'a ThreadPool),
-    /// Gather-parallel on a transient global-style pool.
-    Rayon,
 }
 
 /// How to run a plan: a parallel [`Strategy`] plus a [`Lowering`].
@@ -95,11 +93,6 @@ impl<'a> ExecMode<'a> {
     /// Scatter-parallel with atomic adds on `pool`.
     pub fn parallel_atomic(pool: &'a ThreadPool) -> Self {
         Strategy::ParallelAtomic(pool).into()
-    }
-
-    /// Gather-parallel on a transient global-style pool.
-    pub fn rayon() -> Self {
-        Strategy::Rayon.into()
     }
 
     /// Switch to the vectorized row executor.
@@ -577,82 +570,12 @@ fn run_pool(
     })
 }
 
-/// Run gather-parallel on a transient global-style pool.
-///
-/// The seed used Rayon's global pool here; the workspace now builds
-/// std-only, so this is a `std::thread::scope` fallback with the same API
-/// and scheduling behaviour (dynamic chunk pulling over all host cores).
-/// The explicit [`ThreadPool`] is used when an exact thread count is
-/// required.
-pub fn run_rayon(plan: &Plan, ws: &mut Workspace) -> Result<ExecStats, ExecError> {
-    run_rayon_with(plan, ws, Lowering::PerPoint)
-}
-
-/// [`run_rayon`] with the vectorized row executor.
-pub fn run_rayon_rows(plan: &Plan, ws: &mut Workspace) -> Result<ExecStats, ExecError> {
-    run_rayon_with(plan, ws, Lowering::Rows)
-}
-
-fn run_rayon_with(
-    plan: &Plan,
-    ws: &mut Workspace,
-    lowering: Lowering,
-) -> Result<ExecStats, ExecError> {
-    if !plan.gather_only {
-        return Err(ExecError::ScatterNeedsAtomics);
-    }
-    let bufs = make_buffers(plan, ws)?;
-    let native = resolve_native(plan, lowering, false);
-    let threads = std::thread::available_parallelism()
-        .map(|c| c.get())
-        .unwrap_or(2);
-    let jobs = make_jobs(plan, threads);
-    let counter = std::sync::atomic::AtomicUsize::new(0);
-    let native = &native;
-    let work = |_tid: usize| {
-        let mut scratch = JobScratch::for_run(plan, lowering, native.as_ref().is_some());
-        loop {
-            let j = counter.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            if j >= jobs.len() {
-                break;
-            }
-            let (k, s, e) = jobs[j];
-            exec_nest_range(
-                plan,
-                k,
-                &bufs,
-                s,
-                e,
-                false,
-                lowering,
-                native.as_deref(),
-                &mut scratch,
-            );
-        }
-    };
-    if threads <= 1 || jobs.len() <= 1 {
-        work(0);
-    } else {
-        let work = &work;
-        std::thread::scope(|scope| {
-            for t in 1..threads {
-                scope.spawn(move || work(t));
-            }
-            work(0);
-        });
-    }
-    Ok(ExecStats {
-        points: plan.points(),
-    })
-}
-
 /// Dispatch on an [`ExecMode`].
 pub fn run(plan: &Plan, ws: &mut Workspace, mode: ExecMode<'_>) -> Result<ExecStats, ExecError> {
     match mode.strategy {
         Strategy::Serial => run_serial_with(plan, ws, mode.lowering),
         Strategy::Parallel(pool) => run_pool_gather(plan, ws, pool, mode.lowering),
         Strategy::ParallelAtomic(pool) => run_pool(plan, ws, pool, true, mode.lowering),
-        Strategy::Rayon => run_rayon_with(plan, ws, mode.lowering),
     }
 }
 
@@ -721,8 +644,10 @@ mod tests {
         run_parallel(&plan, &mut ws2, &pool).unwrap();
         assert_eq!(ws1.grid("r").max_abs_diff(ws2.grid("r")), 0.0);
 
+        // A different thread count chunks the outer dimension differently.
         let (mut ws3, _) = setup(101);
-        run_rayon(&plan, &mut ws3).unwrap();
+        let pool2 = ThreadPool::new(2);
+        run(&plan, &mut ws3, ExecMode::parallel(&pool2)).unwrap();
         assert_eq!(ws1.grid("r").max_abs_diff(ws3.grid("r")), 0.0);
     }
 
@@ -742,7 +667,8 @@ mod tests {
         assert_eq!(ws1.grid("r").max_abs_diff(ws3.grid("r")), 0.0);
 
         let (mut ws4, _) = setup(101);
-        run_rayon_rows(&plan, &mut ws4).unwrap();
+        let pool2 = ThreadPool::new(2);
+        run(&plan, &mut ws4, ExecMode::parallel(&pool2).rows()).unwrap();
         assert_eq!(ws1.grid("r").max_abs_diff(ws4.grid("r")), 0.0);
 
         // Adjoint, serial interpreter vs parallel rows.
@@ -879,8 +805,8 @@ mod tests {
             run_parallel_rows(&plan, &mut ws, &pool).unwrap_err(),
             ExecError::ScatterNeedsAtomics
         );
-        assert!(run_rayon(&plan, &mut ws).is_err());
-        assert!(run_rayon_rows(&plan, &mut ws).is_err());
+        assert!(run(&plan, &mut ws, ExecMode::parallel(&pool)).is_err());
+        assert!(run(&plan, &mut ws, ExecMode::parallel(&pool).rows()).is_err());
     }
 
     #[test]

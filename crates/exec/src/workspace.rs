@@ -49,6 +49,22 @@ impl Workspace {
             .unwrap_or_else(|| panic!("no grid named `{name}` in workspace"))
     }
 
+    /// Exchange the storage of two named grids without copying — how a
+    /// time loop rotates `u_2 ← u_1 ← u` in place. Panics if either name
+    /// is missing or both name the same grid.
+    pub fn swap(&mut self, a: &str, b: &str) {
+        let (ka, kb) = (Symbol::new(a), Symbol::new(b));
+        let mut pair = self
+            .grids
+            .iter_mut()
+            .filter(|(k, _)| **k == ka || **k == kb)
+            .map(|(_, g)| g);
+        match (pair.next(), pair.next()) {
+            (Some(x), Some(y)) => std::mem::swap(x, y),
+            _ => panic!("cannot swap `{a}` and `{b}`: need two distinct grids in workspace"),
+        }
+    }
+
     pub fn contains(&self, name: &Symbol) -> bool {
         self.grids.contains_key(name)
     }
@@ -102,6 +118,24 @@ mod tests {
         ws.grid_mut("u").set(&[1], 3.0);
         assert_eq!(ws.grid("u").get(&[1]), 3.0);
         assert_eq!(ws.len(), 1);
+    }
+
+    #[test]
+    fn swap_exchanges_storage() {
+        let mut ws = Workspace::new()
+            .with("a", Grid::full(&[3], 1.0))
+            .with("b", Grid::full(&[3], 2.0));
+        let pa = ws.grid("a").as_slice().as_ptr();
+        ws.swap("b", "a");
+        assert_eq!(ws.grid("a").get(&[0]), 2.0);
+        assert_eq!(ws.grid("b").get(&[0]), 1.0);
+        assert_eq!(ws.grid("b").as_slice().as_ptr(), pa, "moved, not copied");
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot swap")]
+    fn swap_with_itself_panics() {
+        Workspace::new().with("a", Grid::zeros(&[1])).swap("a", "a");
     }
 
     #[test]

@@ -18,6 +18,14 @@
 //! are **bitwise-identical**: checkpointing changes where states come
 //! from, never how steps execute.
 //!
+//! The primal time loop ([`Stepper`]) runs the wave nest compiled once
+//! to the serial row lowering and steps in place, rotating its three
+//! wavefields without a per-step allocation; the per-point interpreter
+//! survives only as the test oracle it is checked against bit for bit.
+//! Both reverse sweeps share one adjoint state, a 3-grid rolling window
+//! over `λ_t`: the store-all sweep holds the trajectory plus that window,
+//! the checkpointed sweep holds snapshots plus that window.
+//!
 //! Real surveys fire many shots against one velocity model:
 //! [`gradient_batch`] (and [`BatchPlan`] for inversion loops) pays the
 //! adjoint transform, autotune, and compilation **once** and dispatches
@@ -34,7 +42,7 @@ use perforad_ckpt::{
 };
 use perforad_core::{Adjoint, AdjointOptions, BoundaryStrategy};
 use perforad_exec::{
-    compile_nest, default_pool, run_serial, Binding, Grid, Plan, ThreadPool, Workspace,
+    compile_nest, default_pool, run, Binding, ExecMode, Grid, Plan, ThreadPool, Workspace,
 };
 use perforad_sched::{
     compile_schedule, run_tuned, SchedOptions, Schedule, TunedConfig, TunedStrategy,
@@ -87,12 +95,22 @@ pub fn ricker(steps: usize) -> Vec<f64> {
 /// needs, and all a snapshot has to hold.
 pub type WaveState = (Grid, Grid);
 
-/// One compiled primal wave step, shared by every forward pass in this
-/// module (the dense [`forward`], the checkpointed streaming pass, and
-/// its recomputed segments), so replayed segments are bitwise-identical
-/// to the first execution.
+/// The compiled primal time loop, shared by every forward pass in this
+/// module (the dense [`forward`], the store-all sweep, the checkpointed
+/// streaming pass and its recomputed segments), so replayed segments are
+/// bitwise-identical to the first execution.
+///
+/// The wave nest is compiled once per stepper and runs under the serial
+/// row lowering (`ExecMode::serial().rows()`), bitwise-identical to the
+/// per-point interpreter, which survives only as the test oracle. The
+/// state lives in the stepper's own workspace: [`Stepper::advance`]
+/// writes `u_{t+1}` into a scratch grid and rotates `u_2 ← u_1 ← u` by
+/// swapping storage, so a step neither allocates nor copies a grid.
+/// The primal stays off the pool: shot-parallel workers run whole shots
+/// on one pool thread, which cannot re-enter the pool, and pool-parallel
+/// rows measured no faster than serial rows at n=48 on a 2-vCPU host.
 #[derive(Clone)]
-struct Stepper {
+pub struct Stepper {
     plan: Plan,
     ws: Workspace,
     src: [usize; 3],
@@ -100,7 +118,9 @@ struct Stepper {
 }
 
 impl Stepper {
-    fn new(cfg: &SeismicConfig, c: &Grid, source: &[f64]) -> Stepper {
+    /// Compile the wave step for `cfg` against velocity model `c`, with
+    /// one `source` sample injected per step; starts at `u_{−1} = u_0 = 0`.
+    pub fn new(cfg: &SeismicConfig, c: &Grid, source: &[f64]) -> Stepper {
         assert_eq!(source.len(), cfg.steps);
         let dims = [cfg.n, cfg.n, cfg.n];
         let nest = wave3d::nest();
@@ -128,17 +148,55 @@ impl Stepper {
         self.source.extend_from_slice(source);
     }
 
-    /// Advance `(u_{t−1}, u_t)` to `(u_t, u_{t+1})`.
-    fn step(&mut self, state: &WaveState, t: usize) -> WaveState {
+    /// Rewind to the zero initial state `u_{−1} = u_0 = 0`.
+    fn reset(&mut self) {
+        for name in ["u", "u_1", "u_2"] {
+            self.ws.grid_mut(name).fill(0.0);
+        }
+    }
+
+    /// Resume from `(u_{t−1}, u_t)`: copy it into the stepper's own
+    /// buffers (no allocation).
+    fn load(&mut self, state: &WaveState) {
+        copy_into(self.ws.grid_mut("u_2"), &state.0);
+        copy_into(self.ws.grid_mut("u_1"), &state.1);
+    }
+
+    /// Advance `(u_{t−1}, u_t)` to `(u_t, u_{t+1})` in place.
+    pub fn advance(&mut self, t: usize) {
         let _span = perforad_obs::span!("seismic.step", "seismic", "t" => t as u64);
-        *self.ws.grid_mut("u_1") = state.1.clone();
-        *self.ws.grid_mut("u_2") = state.0.clone();
-        self.ws.grid_mut("u").fill(0.0);
-        run_serial(&self.plan, &mut self.ws).expect("primal step");
-        let mut next = self.ws.grid("u").clone();
+        run(&self.plan, &mut self.ws, ExecMode::serial().rows()).expect("primal step");
+        let next = self.ws.grid_mut("u");
         let v = next.get(&self.src) + self.source[t];
         next.set(&self.src, v);
-        (state.1.clone(), next)
+        // u_2 ← u_1 ← u; the retired u_{t−1} becomes the zeroed scratch.
+        self.ws.swap("u_2", "u");
+        self.ws.swap("u_1", "u_2");
+        self.ws.grid_mut("u").fill(0.0);
+    }
+
+    /// `u_t`, the newest wavefield.
+    fn current(&self) -> &Grid {
+        self.ws.grid("u_1")
+    }
+
+    /// An owned copy of `(u_{t−1}, u_t)`.
+    fn state(&self) -> WaveState {
+        (self.ws.grid("u_2").clone(), self.ws.grid("u_1").clone())
+    }
+
+    /// Step from the zero state through every source sample, keeping
+    /// one copy of each wavefield: the trajectory `u_0 .. u_steps`.
+    fn trajectory(&mut self) -> Vec<Grid> {
+        self.reset();
+        let steps = self.source.len();
+        let mut traj = Vec::with_capacity(steps + 1);
+        traj.push(self.current().clone());
+        for t in 0..steps {
+            self.advance(t);
+            traj.push(self.current().clone());
+        }
+        traj
     }
 }
 
@@ -150,16 +208,7 @@ pub fn forward(cfg: &SeismicConfig, c: &Grid, source: &[f64]) -> Vec<Grid> {
     let _span = perforad_obs::span!(
         "seismic.forward", "seismic", "steps" => cfg.steps as u64, "n" => cfg.n as u64
     );
-    let dims = [cfg.n, cfg.n, cfg.n];
-    let mut stepper = Stepper::new(cfg, c, source);
-    let mut traj = Vec::with_capacity(cfg.steps + 1);
-    traj.push(Grid::zeros(&dims));
-    let mut state: WaveState = (Grid::zeros(&dims), Grid::zeros(&dims));
-    for t in 0..cfg.steps {
-        state = stepper.step(&state, t);
-        traj.push(state.1.clone());
-    }
-    traj
+    Stepper::new(cfg, c, source).trajectory()
 }
 
 /// `J = ½ ‖u − d‖²`.
@@ -268,11 +317,12 @@ impl<'p> ReverseSweep<'p> {
     }
 
     /// One adjoint step: consume `λ_{t+1}` with `u_1 = u_t` bound, leaving
-    /// the `u_1_b`/`u_2_b`/`c_b` contributions in the workspace.
+    /// the `u_1_b`/`u_2_b`/`c_b` contributions in the workspace. Inputs
+    /// are copied into the persistent workspace grids (no allocation).
     fn back(&mut self, u_t: &Grid, lambda_next: &Grid) {
         let _span = perforad_obs::span!("seismic.back", "seismic");
-        *self.ws.grid_mut("u_1") = u_t.clone();
-        *self.ws.grid_mut("u_b") = lambda_next.clone();
+        copy_into(self.ws.grid_mut("u_1"), u_t);
+        copy_into(self.ws.grid_mut("u_b"), lambda_next);
         self.ws.grid_mut("u_1_b").fill(0.0);
         self.ws.grid_mut("u_2_b").fill(0.0);
         self.ws.grid_mut("c_b").fill(0.0);
@@ -318,10 +368,10 @@ pub fn gradient_with_pool(
     }
 }
 
-/// The dense reference path: materialize the full trajectory and the full
-/// adjoint field vector. Memory grows linearly with `steps` — use
-/// [`gradient_checkpointed`] (or plain [`gradient`], which dispatches)
-/// for long sweeps.
+/// The dense reference path: materialize the full trajectory, then
+/// reverse it through the 3-grid adjoint window. Memory grows linearly
+/// with `steps` — use [`gradient_checkpointed`] (or plain [`gradient`],
+/// which dispatches) for long sweeps.
 pub fn gradient_store_all(
     cfg: &SeismicConfig,
     c: &Grid,
@@ -348,53 +398,89 @@ pub fn gradient_store_all_with_pool(
 }
 
 /// The dense sweep against one shot's compiled stepper + reverse sweep —
-/// the piece a batch repeats per shot after paying setup once.
+/// the piece a batch repeats per shot after paying setup once. Memory is
+/// the trajectory plus the 3-grid [`LambdaWindow`].
 fn store_all_core(
     cfg: &SeismicConfig,
     data: &Grid,
     stepper: &mut Stepper,
     sweep: &mut ReverseSweep<'_>,
 ) -> (f64, Grid) {
-    let dims = [cfg.n, cfg.n, cfg.n];
-    let mut traj = Vec::with_capacity(cfg.steps + 1);
-    {
+    let traj = {
         let _fwd = perforad_obs::span!(
             "seismic.forward", "seismic", "steps" => cfg.steps as u64, "n" => cfg.n as u64
         );
-        traj.push(Grid::zeros(&dims));
-        let mut state: WaveState = (Grid::zeros(&dims), Grid::zeros(&dims));
-        for t in 0..cfg.steps {
-            state = stepper.step(&state, t);
-            traj.push(state.1.clone());
+        stepper.trajectory()
+    };
+    let mut window = LambdaWindow::new(sweep);
+    window.seed(&traj[cfg.steps], data);
+    for t in (0..cfg.steps).rev() {
+        window.back(&traj[t]);
+    }
+    window.finish()
+}
+
+/// The reverse sweep's adjoint state, shared by the store-all and the
+/// checkpointed sweep: a 3-grid rolling window over `λ_t = ∂J/∂u_t`
+/// plus the `∂J/∂c` accumulator. Reversing the step that produced
+/// `u_{t+1}` consumes the fully accumulated `λ_{t+1}` and feeds `λ_t`
+/// (`u_1_b`) and `λ_{t−1}` (`u_2_b`); since steps are reversed strictly
+/// in descending order, nothing older is ever live. Source injection is
+/// additive and c-independent, so it contributes nothing to the adjoint.
+struct LambdaWindow<'a, 'p> {
+    sweep: &'a mut ReverseSweep<'p>,
+    j: f64,
+    /// λ_{t+1}: fully accumulated, consumed by the next back step.
+    hi: Grid,
+    /// λ_t: partial (holds the `u_1_b` row of the current step).
+    mid: Grid,
+    /// λ_{t−1}: partial (holds the `u_2_b` row of the current step).
+    lo: Grid,
+    c_b: Grid,
+}
+
+impl<'a, 'p> LambdaWindow<'a, 'p> {
+    fn new(sweep: &'a mut ReverseSweep<'p>) -> Self {
+        let dims = sweep.ws.grid("c").dims().to_vec();
+        LambdaWindow {
+            sweep,
+            j: 0.0,
+            hi: Grid::zeros(&dims),
+            mid: Grid::zeros(&dims),
+            lo: Grid::zeros(&dims),
+            c_b: Grid::zeros(&dims),
         }
     }
-    let j = misfit(&traj[cfg.steps], data);
 
-    // λ_t = ∂J/∂u_t; only λ_T seeded directly. Source injection is additive
-    // and c-independent, so it contributes nothing to the adjoint.
-    let mut lambda: Vec<Grid> = (0..=cfg.steps).map(|_| Grid::zeros(&dims)).collect();
-    {
-        let lam = &mut lambda[cfg.steps];
-        for (l, (u, d)) in lam
+    /// Evaluate `J` at the final wavefield and seed `λ_T = u_T − d`.
+    fn seed(&mut self, u_final: &Grid, data: &Grid) {
+        self.j = misfit(u_final, data);
+        for (l, (u, d)) in self
+            .hi
             .as_mut_slice()
             .iter_mut()
-            .zip(traj[cfg.steps].as_slice().iter().zip(data.as_slice()))
+            .zip(u_final.as_slice().iter().zip(data.as_slice()))
         {
             *l = u - d;
         }
     }
-    let mut c_b = Grid::zeros(&dims);
-    for t in (1..=cfg.steps).rev() {
-        // Step t produced u_t from u_1 = u_{t-1}, u_2 = u_{t-2}.
-        sweep.back(&traj[t - 1], &lambda[t]);
-        // Scatter-free accumulation into earlier adjoint fields.
-        add_into(&mut lambda[t - 1], sweep.ws.grid("u_1_b"));
-        if t >= 2 {
-            add_into(&mut lambda[t - 2], sweep.ws.grid("u_2_b"));
-        }
-        add_into(&mut c_b, sweep.ws.grid("c_b"));
+
+    /// Reverse step `t` (which produced `u_{t+1}` from `u_1 = u_t`) and
+    /// roll the window down one step.
+    fn back(&mut self, u_t: &Grid) {
+        self.sweep.back(u_t, &self.hi);
+        add_into(&mut self.mid, self.sweep.ws.grid("u_1_b"));
+        add_into(&mut self.lo, self.sweep.ws.grid("u_2_b"));
+        add_into(&mut self.c_b, self.sweep.ws.grid("c_b"));
+        std::mem::swap(&mut self.hi, &mut self.mid);
+        std::mem::swap(&mut self.mid, &mut self.lo);
+        self.lo.fill(0.0);
     }
-    (j, c_b)
+
+    /// `(J, ∂J/∂c)`.
+    fn finish(self) -> (f64, Grid) {
+        (self.j, self.c_b)
+    }
 }
 
 /// Where trajectory snapshots live during a checkpointed sweep.
@@ -531,60 +617,21 @@ fn checkpointed_attempt(
     let dims = [cfg.n, cfg.n, cfg.n];
     let s0: WaveState = (Grid::zeros(&dims), Grid::zeros(&dims));
 
-    // Shared mutable sweep state: the driver calls `seed` and `back`
-    // strictly sequentially, so a RefCell resolves the closure-borrow
-    // overlap without locking.
-    struct Rolling<'a, 'p> {
-        sweep: &'a mut ReverseSweep<'p>,
-        j: f64,
-        /// λ_{t+1}: fully accumulated, consumed by the next back step.
-        lam_hi: Grid,
-        /// λ_t: partial (holds the `u_1_b` row of the current step).
-        lam_mid: Grid,
-        /// λ_{t−1}: partial (holds the `u_2_b` row of the current step).
-        lam_lo: Grid,
-        c_b: Grid,
-    }
-    let rolling = RefCell::new(Rolling {
-        sweep,
-        j: 0.0,
-        lam_hi: Grid::zeros(&dims),
-        lam_mid: Grid::zeros(&dims),
-        lam_lo: Grid::zeros(&dims),
-        c_b: Grid::zeros(&dims),
-    });
-
-    let mut step = |s: &WaveState, t: usize| stepper.step(s, t);
-    let mut seed = |s: &WaveState| {
-        let st = &mut *rolling.borrow_mut();
-        st.j = misfit(&s.1, data);
-        for (l, (u, d)) in st
-            .lam_hi
-            .as_mut_slice()
-            .iter_mut()
-            .zip(s.1.as_slice().iter().zip(data.as_slice()))
-        {
-            *l = u - d;
-        }
+    // The driver calls `seed` and `back` strictly sequentially, so a
+    // RefCell resolves the closure-borrow overlap without locking. A
+    // fresh window per attempt keeps a retried sweep bitwise-identical.
+    let window = RefCell::new(LambdaWindow::new(sweep));
+    let mut step = |s: &WaveState, t: usize| {
+        stepper.load(s);
+        stepper.advance(t);
+        stepper.state()
     };
-    let mut back = |s: &WaveState, _t: usize| {
-        let st = &mut *rolling.borrow_mut();
-        // Step t produced u_{t+1} from u_1 = u_t (= s.1), u_2 = u_{t−1};
-        // its adjoint consumes λ_{t+1} and feeds λ_t and λ_{t−1}.
-        // (Field borrows of `st` are disjoint: no per-step clones.)
-        st.sweep.back(&s.1, &st.lam_hi);
-        add_into(&mut st.lam_mid, st.sweep.ws.grid("u_1_b"));
-        add_into(&mut st.lam_lo, st.sweep.ws.grid("u_2_b"));
-        add_into(&mut st.c_b, st.sweep.ws.grid("c_b"));
-        // Roll the window down one step.
-        std::mem::swap(&mut st.lam_hi, &mut st.lam_mid);
-        std::mem::swap(&mut st.lam_mid, &mut st.lam_lo);
-        st.lam_lo.fill(0.0);
-    };
+    let mut seed = |s: &WaveState| window.borrow_mut().seed(&s.1, data);
+    let mut back = |s: &WaveState, _t: usize| window.borrow_mut().back(&s.1);
 
     let report = checkpointed_adjoint_plan(plan, s0, store, &mut step, &mut seed, &mut back)?;
-    let st = rolling.into_inner();
-    Ok((st.j, st.c_b, report))
+    let (j, c_b) = window.into_inner().finish();
+    Ok((j, c_b, report))
 }
 
 enum ResolvedBackend {
@@ -608,6 +655,11 @@ fn resolve_backend(backend: &SnapshotBackend) -> ResolvedBackend {
 /// range.
 fn default_budget(steps: usize) -> usize {
     ((2.0 * (steps.max(1) as f64).sqrt()).ceil() as usize).clamp(2, steps.max(2))
+}
+
+/// Overwrite `dst` with `src` in place (same shape; no allocation).
+fn copy_into(dst: &mut Grid, src: &Grid) {
+    dst.as_mut_slice().copy_from_slice(src.as_slice());
 }
 
 fn add_into(dst: &mut Grid, src: &Grid) {
@@ -1038,31 +1090,83 @@ mod tests {
 
     #[test]
     fn checkpointed_gradient_is_bitwise_store_all() {
-        let cfg = SeismicConfig {
-            n: 8,
-            steps: 7,
-            d: 0.1,
-        };
-        let src = ricker(cfg.steps);
-        let c0 = velocity(cfg.n);
-        let c_true = Grid::from_fn(&[cfg.n; 3], |ix| c0.get(ix) * 1.04);
-        let data = forward(&cfg, &c_true, &src)[cfg.steps].clone();
-        let (j_ref, g_ref) = gradient_store_all(&cfg, &c0, &data, &src);
-        for budget in [1usize, 2, 3, 7, 50] {
-            let (j, g, report) = gradient_checkpointed_with(
-                &cfg,
-                &c0,
-                &data,
-                &src,
-                Some(budget),
-                &SnapshotBackend::Memory,
-            );
-            assert_eq!(j.to_bits(), j_ref.to_bits(), "budget {budget}");
-            for (a, b) in g.as_slice().iter().zip(g_ref.as_slice()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "budget {budget}");
+        // The odd edge leaves remainder lanes in the primal's row kernel.
+        for (n, steps) in [(8usize, 7usize), (9, 6)] {
+            let cfg = SeismicConfig { n, steps, d: 0.1 };
+            let src = ricker(cfg.steps);
+            let c0 = velocity(cfg.n);
+            let c_true = Grid::from_fn(&[cfg.n; 3], |ix| c0.get(ix) * 1.04);
+            let data = forward(&cfg, &c_true, &src)[cfg.steps].clone();
+            let (j_ref, g_ref) = gradient_store_all(&cfg, &c0, &data, &src);
+            for budget in [1usize, 2, 3, steps, 50] {
+                let (j, g, report) = gradient_checkpointed_with(
+                    &cfg,
+                    &c0,
+                    &data,
+                    &src,
+                    Some(budget),
+                    &SnapshotBackend::Memory,
+                );
+                assert_eq!(j.to_bits(), j_ref.to_bits(), "n {n} budget {budget}");
+                for (a, b) in g.as_slice().iter().zip(g_ref.as_slice()) {
+                    assert_eq!(a.to_bits(), b.to_bits(), "n {n} budget {budget}");
+                }
+                assert!(report.peak_snapshots <= budget);
+                assert_eq!(report.budget, budget.min(cfg.steps));
             }
-            assert!(report.peak_snapshots <= budget);
-            assert_eq!(report.budget, budget.min(cfg.steps));
+        }
+    }
+
+    /// The primal time loop stepped by the per-point interpreter, with
+    /// fresh grids every step: the oracle the in-place row stepper must
+    /// reproduce bit for bit.
+    fn interpreter_trajectory(cfg: &SeismicConfig, c: &Grid, source: &[f64]) -> Vec<Grid> {
+        let dims = [cfg.n; 3];
+        let bind = Binding::new().size("n", cfg.n as i64).param("D", cfg.d);
+        let mut ws = Workspace::new()
+            .with("c", c.clone())
+            .with("u", Grid::zeros(&dims))
+            .with("u_1", Grid::zeros(&dims))
+            .with("u_2", Grid::zeros(&dims));
+        let plan = compile_nest(&wave3d::nest(), &ws, &bind).unwrap();
+        let mut traj = vec![Grid::zeros(&dims)];
+        let mut prev = Grid::zeros(&dims);
+        for &s in source {
+            let cur = traj.last().unwrap().clone();
+            *ws.grid_mut("u_1") = cur.clone();
+            *ws.grid_mut("u_2") = prev;
+            ws.grid_mut("u").fill(0.0);
+            run(&plan, &mut ws, ExecMode::serial()).unwrap();
+            let mut next = ws.grid("u").clone();
+            let v = next.get(&cfg.source_index()) + s;
+            next.set(&cfg.source_index(), v);
+            prev = cur;
+            traj.push(next);
+        }
+        traj
+    }
+
+    fn assert_same_bits(a: &Grid, b: &Grid, what: &str) {
+        assert_eq!(a.dims(), b.dims(), "{what}");
+        for (k, (x, y)) in a.as_slice().iter().zip(b.as_slice()).enumerate() {
+            assert_eq!(x.to_bits(), y.to_bits(), "{what}: element {k}");
+        }
+    }
+
+    #[test]
+    fn forward_is_bitwise_the_interpreter_oracle() {
+        // Odd edges leave remainder lanes in every row of the row executor.
+        for (n, steps) in [(9usize, 6usize), (13, 7)] {
+            let cfg = SeismicConfig { n, steps, d: 0.1 };
+            let c = velocity(n);
+            let src = ricker(steps);
+            let want = interpreter_trajectory(&cfg, &c, &src);
+            let got = forward(&cfg, &c, &src);
+            assert_eq!(got.len(), want.len());
+            assert!(want[steps].norm2() > 0.0, "the oracle propagates a wave");
+            for (t, (g, w)) in got.iter().zip(&want).enumerate() {
+                assert_same_bits(g, w, &format!("n={n} u_{t}"));
+            }
         }
     }
 

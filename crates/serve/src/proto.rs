@@ -15,10 +15,30 @@
 use perforad_tune::json::{self, Value};
 use std::io::{self, Read, Write};
 
-/// Hard cap on one frame (64 MiB). A 512³ f64 grid serializes well under
-/// this; anything larger is a corrupt or hostile length prefix and is
-/// rejected before allocation.
+/// Hard cap on one frame (64 MiB); a longer length prefix is corrupt or
+/// hostile and is rejected before allocation. Dense gradients serialize
+/// at about 17 bytes per value, so a single-shot `Gradient` reply fits
+/// up to about n ≈ 157 (157³ values). A reply over the cap is answered
+/// with a [`Reply::Error`] naming its size and the cap ([`reply_frame`]).
 pub const MAX_FRAME: usize = 64 << 20;
+
+/// Encode `reply` for a frame of at most `cap` bytes. A reply too large
+/// for it becomes a short [`Reply::Error`] that names the size and the
+/// cap: the client gets a structured, non-retryable failure instead of
+/// a dropped connection, which its retry policy would answer by
+/// re-running the whole gradient.
+pub fn reply_frame(reply: &Reply, cap: usize) -> String {
+    let json = reply.to_json();
+    if json.len() <= cap {
+        return json;
+    }
+    perforad_obs::counter("serve.oversize_replies").inc();
+    Reply::Error(format!(
+        "reply of {} bytes exceeds the {cap}-byte frame cap; request a smaller grid",
+        json.len()
+    ))
+    .to_json()
+}
 
 /// Write one `u32`-BE length-prefixed frame and flush.
 pub fn write_frame<W: Write>(w: &mut W, payload: &str) -> io::Result<()> {
@@ -667,6 +687,27 @@ pub fn write_value(out: &mut String, v: &Value) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn oversize_reply_becomes_an_error_naming_size_and_cap() {
+        let reply = Reply::Gradient(GradientReply {
+            misfit: 0.5,
+            gradient: vec![0.123456789; 64],
+            checkpointed: false,
+            request_id: 3,
+            trace: None,
+        });
+        let full = reply.to_json();
+        assert_eq!(reply_frame(&reply, full.len()), full, "fits exactly");
+        let cap = full.len() - 1;
+        let framed = reply_frame(&reply, cap);
+        assert!(framed.len() <= cap);
+        let Reply::Error(msg) = Reply::from_json(&framed).unwrap() else {
+            panic!("oversize reply must become an Error: {framed}");
+        };
+        assert!(msg.contains(&full.len().to_string()), "{msg}");
+        assert!(msg.contains(&cap.to_string()), "{msg}");
+    }
 
     #[test]
     fn f64_wire_round_trip_is_bitwise() {

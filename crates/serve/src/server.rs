@@ -7,7 +7,8 @@
 //! `"type"`) earns a [`Reply::Error`] and the connection stays up; a
 //! broken *frame* (truncation, oversized prefix, non-UTF-8) drops that
 //! connection only — the daemon keeps serving everyone else. Panics out
-//! of the engine are caught per-request and surfaced as `Error` replies.
+//! of the engine are caught per-request and surfaced as `Error` replies,
+//! and so is a reply too large for one frame ([`proto::reply_frame`]).
 
 use crate::engine::Engine;
 use crate::proto::{self, Reply, Request};
@@ -408,7 +409,7 @@ fn handle_conn(engine: Arc<Engine>, stop: Arc<AtomicBool>, endpoint: Endpoint, m
             }
         };
         if fault::should_fail("serve.frame.write")
-            || proto::write_frame(&mut conn, &reply.to_json()).is_err()
+            || proto::write_frame(&mut conn, &proto::reply_frame(&reply, proto::MAX_FRAME)).is_err()
         {
             return;
         }

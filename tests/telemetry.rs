@@ -26,25 +26,48 @@ use perforad::serve::{
 };
 use perforad::tune::json::{parse, Value};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
-/// `System`, with a count of every allocation — the instrument behind
-/// the zero-alloc disabled-path guarantee.
+/// `System`, counting the allocations a thread makes while it measures
+/// — the instrument behind the zero-alloc disabled-path guarantee. The count is
+/// per thread and armed only on the measuring thread, so allocations by
+/// threads that other tests left running (servers, listeners, pool
+/// workers) are never charged to the code under test.
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// `Some(n)`: this thread is measuring and has allocated `n` times.
+    static ALLOCS: Cell<Option<u64>> = const { Cell::new(None) };
+}
+
+fn note_alloc() {
+    // `try_with`: the allocator also runs during thread teardown.
+    let _ = ALLOCS.try_with(|c| {
+        if let Some(n) = c.get() {
+            c.set(Some(n + 1));
+        }
+    });
+}
+
+/// Allocations `f` makes on the calling thread.
+fn allocs_during(f: impl FnOnce()) -> u64 {
+    ALLOCS.with(|c| c.set(Some(0)));
+    f();
+    ALLOCS.with(|c| c.take()).expect("armed by this call")
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        note_alloc();
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        note_alloc();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -496,11 +519,13 @@ fn disabled_request_scope_allocates_nothing() {
         let _scope = perforad::obs::RequestScope::enter(1);
         let _s = perforad::obs::span!("telemetry.warm", "test");
     }
-    let before = ALLOCS.load(Ordering::Relaxed);
-    for i in 0..10_000u64 {
-        let _scope = perforad::obs::RequestScope::enter(i);
-        let _s = perforad::obs::span!("telemetry.cold", "test", "i" => i);
-    }
-    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    // The instrument itself sees an allocation on this thread.
+    assert!(allocs_during(|| drop(std::hint::black_box(vec![0u8; 64]))) >= 1);
+    let allocs = allocs_during(|| {
+        for i in 0..10_000u64 {
+            let _scope = perforad::obs::RequestScope::enter(i);
+            let _s = perforad::obs::span!("telemetry.cold", "test", "i" => i);
+        }
+    });
     assert_eq!(allocs, 0, "disabled request-scoped spans must not allocate");
 }
